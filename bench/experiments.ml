@@ -985,24 +985,21 @@ let ablation () =
    writes BENCH_corpus.json for CI trend tracking. Quick mode sweeps the
    CI-size smoke manifest instead of the full one. *)
 (* ------------------------------------------------------------------ *)
-(* Reorder-rung strategies: sift vs rebuild vs none                     *)
+(* Reorder rung: in-place sift vs the rung disabled                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Head-to-head of the degradation ladder's rung-2 strategies on the
-   sequential path (par = None, so the rung comparison is not confounded
-   by shard planning): the rung disabled, the [Rebuild] hill climb whose
-   cost oracle re-builds the whole block per candidate swap, and the
-   default in-place [Sift]. Node caps are half the exact shared build
-   (fig5, apex7) or the corpus cap (parity_deep), so rung 1 always
-   fails and rung 2 must engage. No deadlines: a budget deadline bounds
-   the whole estimate including the Monte-Carlo rung, which would turn
-   a slow rebuild into a crash instead of a measurement. Long variants
-   (the parity_deep rebuild prices each of its O(inputs) candidate
-   swaps with a ~cap-sized build) are instead measured once — repeats
-   exist to beat timer noise, which minute-scale runs don't have. *)
+(* What the ladder's rung 2 buys: the rung disabled against the in-place
+   [Sift]. The budget is per-cone headroom inside a shard, so the caps
+   are half the largest single cone's exact build (fig5, apex7) — every
+   shard holding that cone must fail rung 1 — or the corpus cap
+   (parity_deep). No deadlines: a budget deadline bounds the whole
+   estimate including the Monte-Carlo rung, which would turn a slow
+   variant into a crash instead of a measurement. Long variants are
+   measured once — repeats exist to beat timer noise, which
+   multi-second runs don't have. *)
 let reorder ?(quick = false) ?(json = false) () =
   let module Engine = Dpa_power.Engine in
-  section "Reorder rung — in-place sift vs rebuild hill climb";
+  section "Reorder rung — in-place sift vs no reorder";
   let repeats = if quick then 1 else 3 in
   let prep raw =
     let net = Dpa_synth.Opt.optimize raw in
@@ -1012,14 +1009,23 @@ let reorder ?(quick = false) ?(json = false) () =
     let input_probs = Array.make (Netlist.num_inputs net) 0.5 in
     (mapped, input_probs)
   in
-  let half_exact (mapped, input_probs) =
-    let r = Engine.estimate ~input_probs mapped in
-    max 8 (r.Engine.report.Estimate.bdd_nodes / 2)
+  let half_largest_cone (mapped, input_probs) =
+    let order = Estimate.block_order ~input_probs mapped in
+    let largest =
+      Array.fold_left
+        (fun acc cone ->
+          let pb = Estimate.start_build ~order mapped in
+          Estimate.build_nodes pb ~within:(Dpa_util.Bitset.mem cone);
+          max acc (Dpa_bdd.Robdd.live_nodes (Estimate.partial_manager pb)))
+        0
+        (Dpa_logic.Cone.of_outputs (Mapped.net mapped))
+    in
+    max 8 (largest / 2)
   in
   let circuits =
     let fig5 =
       let c = prep (Dpa_workload.Examples.fig5 ()) in
-      ("fig5", c, half_exact c, None)
+      ("fig5", c, half_largest_cone c, None)
     in
     let apex7 =
       if not (Sys.file_exists "data/apex7_synthetic.blif") then []
@@ -1034,7 +1040,7 @@ let reorder ?(quick = false) ?(json = false) () =
         | Error _ -> []
         | Ok raw ->
           let c = prep raw in
-          [ ("apex7", c, half_exact c, None) ]
+          [ ("apex7", c, half_largest_cone c, None) ]
       end
     in
     let parity_deep =
@@ -1043,18 +1049,15 @@ let reorder ?(quick = false) ?(json = false) () =
       | Some p ->
         let c = prep (Dpa_workload.Profiles.build_comb p) in
         (* the corpus CI target — the default 1% half-width would make
-           the unavoidable Monte-Carlo rung dominate all three variants *)
+           the unavoidable Monte-Carlo rung dominate both variants *)
         [ ("parity_deep", c, 120_000, Some 0.02) ]
     in
     (fig5 :: apex7) @ parity_deep
   in
-  let variants = [ "none"; "rebuild"; "sift" ] in
+  let variants = [ "none"; "sift" ] in
   let run (name, (mapped, input_probs), cap, halfwidth) variant =
     let budget =
-      let strategy = if variant = "rebuild" then Engine.Rebuild else Engine.Sift in
-      let b =
-        Engine.bounded ~max_bdd_nodes:cap ~fallback:Engine.Simulate ~reorder:strategy ()
-      in
+      let b = Engine.bounded ~max_bdd_nodes:cap ~fallback:Engine.Simulate () in
       let b =
         match halfwidth with
         | Some h -> { b with Engine.sim_halfwidth = h }

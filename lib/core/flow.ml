@@ -164,10 +164,16 @@ let compare_ma_mp_probs ?(config = default_config) ~input_probs raw =
       }
     in
     let opt = Dpa_phase.Optimizer.minimize_power opt_config net in
-    realize_and_price config net ~input_probs ~clock
-      ~measurements:opt.Dpa_phase.Optimizer.measurements
-      ~degraded_measurements:opt.Dpa_phase.Optimizer.degraded_measurements
-      ~strategy:opt.Dpa_phase.Optimizer.strategy_used opt.Dpa_phase.Optimizer.assignment
+    let measurements = opt.Dpa_phase.Optimizer.measurements
+    and degraded_measurements = opt.Dpa_phase.Optimizer.degraded_measurements
+    and strategy = opt.Dpa_phase.Optimizer.strategy_used in
+    (* same block, clock and budget as MA's: the estimate would be the
+       same bits, so reuse it rather than price the block twice *)
+    if Phase.equal opt.Dpa_phase.Optimizer.assignment ma.assignment then
+      { ma with measurements; strategy; degraded_measurements }
+    else
+      realize_and_price config net ~input_probs ~clock ~measurements
+        ~degraded_measurements ~strategy opt.Dpa_phase.Optimizer.assignment
   in
   {
     circuit = Netlist.name raw;

@@ -93,22 +93,26 @@ let record_degradation t (d : Dpa_power.Engine.degradation) =
     | Some w -> if more_degraded d w then t.worst <- Some d
   end
 
-(* Price one candidate on the calling domain. Safe to run concurrently
-   from pool workers: the only shared state it touches is the env table
-   (mutex-guarded, one slot per domain). *)
-let price t mapped =
+(* Price one candidate. With [par] (only from the submitting domain) a
+   budgeted estimate fans its shards out across the pool; without it the
+   engine runs them inline, which is what prefetch tasks do. The answer
+   is the same either way. Safe to run concurrently from pool workers:
+   the only shared state it touches is the env table (mutex-guarded, one
+   slot per domain). *)
+let price ?par t mapped =
   match t.custom_pricer with
   | Some f -> { sample = f t mapped; degradation = None }
   | None -> (
     match t.budget with
     | Some budget when not (Dpa_power.Engine.is_unbounded budget) ->
       (* Every candidate is priced under the same budget policy with a
-         deterministic simulator seed, so comparisons between candidates
-         stay consistent and greedy descent stays monotone even when some
+         deterministic simulator seed — by the same engine the flow's
+         final report uses — so comparisons between candidates stay
+         consistent and greedy descent stays monotone even when some
          cones fall back to simulation. *)
       let r =
-        Dpa_power.Engine.estimate ~budget ~cancel:t.cancel ~input_probs:t.input_probs
-          mapped
+        Dpa_power.Engine.estimate ?par ~budget ~cancel:t.cancel
+          ~input_probs:t.input_probs mapped
       in
       let report = r.Dpa_power.Engine.report in
       {
@@ -183,7 +187,7 @@ let eval t assignment =
         let e =
           Trace.with_span "phase.measure.eval" @@ fun () ->
           if Trace.is_enabled () then Trace.add_args [ ("phases", Trace.Str key) ];
-          price t (realize_mapped t assignment)
+          price ?par:t.par t (realize_mapped t assignment)
         in
         Hashtbl.replace t.cache key e;
         e

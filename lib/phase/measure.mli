@@ -59,8 +59,10 @@ val create :
     Degradations are tallied per distinct candidate (see
     {!degraded_evaluations}, {!worst_degradation}).
 
-    [par] enables speculative parallel pricing via {!prefetch}; it never
-    changes any measured value, only where and when prices are computed.
+    [par] enables speculative parallel pricing via {!prefetch}, and
+    lets a budgeted {!eval} fan the engine's shards across the pool; it
+    never changes any measured value, only where and when prices are
+    computed.
 
     [cancel] makes every measurement cooperatively cancellable: the token
     is polled on each {!eval}, threaded into the bounded engine, and

@@ -4,17 +4,12 @@
     size. The engine makes every estimate terminate inside a configurable
     resource {!budget} by degrading gracefully, one output cone at a time:
 
-    + {b exact} — build the block's BDDs under a manager node budget and
+    + {b exact} — build each cone's BDDs under a node budget and
       wall-clock deadline ({!Dpa_bdd.Robdd.set_budget});
-    + {b reorder} — if a cone blows the budget, reorder and retry. The
-      default {!reorder_strategy} ([Sift]) dynamically reorders the
+    + {b reorder} — if a cone blows the budget, dynamically reorder the
       rung-1 node store {e in place} ({!Dpa_bdd.Sift}) — already-built
-      cones survive bitwise, aborted prefixes compact, garbage is
-      retired back to the budget — and retries the failed cones in the
-      same build. [Rebuild] instead hill-climbs a fresh order with full
-      bounded rebuilds as the cost oracle
-      ({!Dpa_bdd.Reorder.refine_cost} over
-      {!Estimate.bounded_block_size}) and re-attempts from scratch;
+      cones survive bitwise, aborted prefixes compact, garbage is retired
+      back to the budget — and retry the failed cones in the same build;
     + {b simulate} — cones still unbuilt are priced from a Monte-Carlo run
       of the domino simulator ({!Dpa_sim.Simulator.measure}) with a sample
       count sized from the requested confidence interval, merged with the
@@ -32,16 +27,10 @@
     then simulation. *)
 type fallback = No_fallback | Reorder_retry | Simulate
 
-(** How the reorder rung recovers a cone that blew the node budget.
-    [Sift] (the default) reorders the existing store in place and
-    resumes; [Rebuild] searches for a better order by rebuilding from
-    scratch under candidate orders — quadratically more oracle work,
-    kept as the reference implementation and for A/B benchmarking
-    ([bench reorder]). *)
-type reorder_strategy = Sift | Rebuild
-
 type budget = {
-  max_bdd_nodes : int option;  (** manager node cap; [None] = unlimited *)
+  max_bdd_nodes : int option;
+      (** per-cone node headroom: each cone may intern this many new nodes
+          on top of its shard manager's live size; [None] = unlimited *)
   deadline_s : float option;
       (** wall-clock seconds for the whole estimate; [None] = unlimited *)
   fallback : fallback;
@@ -56,41 +45,30 @@ type budget = {
       (** how the Monte-Carlo rung evaluates the netlist; both backends
           are bit-identical for equal seeds ({!Dpa_sim.Backend}), so
           this only trades speed *)
-  reorder_passes : int;
-      (** reorder-rung effort: sift passes under [Sift], hill-climb
-          passes under [Rebuild]; [0] disables the rung *)
-  reorder : reorder_strategy;
+  reorder_passes : int;  (** sift passes of the reorder rung; [0] disables it *)
 }
 
 val default_budget : budget
 (** Unlimited resources, [Simulate] fallback, 1% half-width at 95%
     confidence, seed 1, the default simulation backend
-    ({!Dpa_sim.Backend.default}), 2 reorder passes with the [Sift]
-    strategy. *)
+    ({!Dpa_sim.Backend.default}), 2 sift passes. *)
 
 val bounded :
   ?max_bdd_nodes:int ->
   ?deadline_s:float ->
   ?fallback:fallback ->
   ?sim_backend:Dpa_sim.Backend.t ->
-  ?reorder:reorder_strategy ->
   unit ->
   budget
 (** [default_budget] with the given limits installed. *)
 
 val is_unbounded : budget -> bool
-(** No node cap and no deadline — the engine short-circuits to the plain
-    exact estimator. *)
+(** No node cap and no deadline: every cone builds exactly. *)
 
 val fallback_of_string : string -> fallback option
 (** ["none"] | ["reorder"] | ["sim"] (the CLI spelling). *)
 
 val fallback_to_string : fallback -> string
-
-val reorder_of_string : string -> reorder_strategy option
-(** ["sift"] | ["rebuild"] (the CLI spelling). *)
-
-val reorder_to_string : reorder_strategy -> string
 
 val sim_cycles_of : budget -> int
 (** Monte-Carlo sample count implied by [sim_halfwidth]/[sim_confidence]:
@@ -111,8 +89,8 @@ val cone_method_to_string : cone_method -> string
 
 type degradation = {
   methods : cone_method array;  (** per output cone, in output order *)
-  bdd_nodes : int;  (** manager size of the (possibly partial) build *)
-  reorder_used : bool;  (** the reorder rung's order was adopted *)
+  bdd_nodes : int;  (** live nodes of every shard manager, summed *)
+  reorder_used : bool;  (** the sift rung rescued at least one cone *)
   sim_cycles : int;  (** 0 when no cone needed simulation *)
   ci_halfwidth : float;  (** 0.0 when no cone needed simulation *)
 }
@@ -124,9 +102,6 @@ val reordered_cones : degradation -> int
 val simulated_cones : degradation -> int
 
 val all_exact : degradation -> bool
-
-val exact_degradation : n_outputs:int -> bdd_nodes:int -> degradation
-(** The trivial report of a fully exact estimate. *)
 
 val degradation_to_string : degradation -> string
 (** One human-readable line, e.g.
@@ -149,29 +124,27 @@ val estimate :
   input_probs:float array ->
   Dpa_domino.Mapped.t ->
   result
-(** Runs the ladder on one mapped block. With an unbounded budget this is
-    exactly {!Estimate.of_mapped}. Under a budget, each output cone is
-    built separately so exhaustion is contained: sibling cones keep the
-    nodes interned before the blow-up and their probabilities stay exact.
+(** Runs the ladder on one mapped block. There is one ladder: output
+    cones are partitioned into at most 16 shards by a greedy overlap
+    heuristic (big cones first, each joining the shard whose accumulated
+    support it overlaps most, under a soft load cap; a block under 400
+    nodes is one shard), and each shard builds {e all} its cones in one
+    private manager sized from the node union of its cones, so
+    cross-cone sharing survives inside a shard. Each cone builds under
+    the budget as {e headroom}: it may intern up to [max_bdd_nodes] new
+    nodes on top of its shard manager's live size. Exhaustion is
+    contained per cone: sibling cones keep the nodes interned before the
+    blow-up and their probabilities stay exact. Unbudgeted, every
+    probability and power is bitwise equal to {!Estimate.of_mapped}
+    (ROBDD canonicity).
 
-    With [par], output cones are partitioned into at most 16 shards by
-    a greedy overlap heuristic (big cones first, each joining the shard
-    whose accumulated support it overlaps most, under a soft load cap),
-    and each shard builds {e all} its cones in one private manager
-    ({!Dpa_bdd.Robdd.adopt} discipline) — cross-cone sharing survives
-    inside a shard instead of being re-derived per cone. The plan is a
-    pure function of the cones, never of the pool width or schedule, so
-    probabilities, powers {e and} the [bdd_nodes] complexity metric are
-    bit-identical at every [jobs] count (Monte-Carlo streams are
-    index-derived via {!Dpa_util.Rng.derive}); the
-    [engine.sharing_ratio] gauge records that invariant (1.0). Note the
-    budget then applies {e per cone as headroom} — each cone may intern
-    up to the node cap on top of the shard's prior live size — whereas
-    the sequential ladder shares one cumulative cap, so budgeted
-    results are not comparable between the two paths. Unbudgeted, every
-    probability and power is bitwise equal to the sequential path
-    (ROBDD canonicity); only [bdd_nodes] can differ, by however much
-    sharing crosses shard boundaries.
+    With [par], shards (and simulated cones) run across the pool's
+    domains; without it they run in order on the calling domain, outside
+    any [Par] region, so a caller that is itself a pool task can still
+    estimate. The plan is a pure function of the cones, never of the
+    pool, so probabilities, powers {e and} the [bdd_nodes] complexity
+    metric are bit-identical with no pool and at every [jobs] count
+    (Monte-Carlo streams are index-derived via {!Dpa_util.Rng.derive}).
 
     [cancel] is a cooperative-cancellation token, orthogonal to the
     budget: it is installed on every manager the ladder creates, polled

@@ -174,15 +174,16 @@ let block_order ~input_probs mapped =
   check_literals ~input_probs mapped;
   order_of_block mapped
 
-let start_build ~order mapped =
+let start_build ?nodes ~order mapped =
   let net = Mapped.net mapped in
+  let nodes = Option.value nodes ~default:(Netlist.size net) in
   let level_of_orig = Int_table.create ~capacity:(2 * Array.length order) () in
   Array.iteri (fun lvl opos -> Int_table.replace level_of_orig opos lvl) order;
   let pos_of_input = Int_table.create ~capacity:32 () in
   Array.iteri (fun k id -> Int_table.replace pos_of_input id k) (Netlist.inputs net);
   {
     pb_manager =
-      Robdd.create_sized ~nvars:(Array.length order) ~cache_capacity:(4 * Netlist.size net);
+      Robdd.create_sized ~nvars:(Array.length order) ~cache_capacity:(4 * nodes);
     pb_mapped = mapped;
     pb_order = Array.copy order;
     pb_roots = Array.make (Netlist.size net) Robdd.bdd_false;
@@ -253,17 +254,6 @@ let partial_probabilities pb ~input_probs =
     (Array.length pb.pb_roots)
     (fun i ->
       if node_built pb i then Robdd.cached_probability cache pb.pb_roots.(i) else Float.nan)
-
-let bounded_block_size ?(cancel = Dpa_util.Cancel.none) ~order ~max_nodes ~deadline mapped =
-  let pb = start_build ~order mapped in
-  Robdd.set_budget ~max_nodes ?deadline ~cancel ~context:"reorder probe" pb.pb_manager;
-  let r =
-    match build_nodes pb ~within:(fun _ -> true) with
-    | () -> Some (Robdd.total_nodes pb.pb_manager)
-    | exception Dpa_util.Dpa_error.Budget_exceeded _ -> None
-  in
-  Robdd.publish_metrics pb.pb_manager;
-  r
 
 (* ------------------------------------------------------------------ *)
 (* Incremental estimation: one shared manager across many blocks        *)

@@ -65,8 +65,10 @@ val block_order : input_probs:float array -> Dpa_domino.Mapped.t -> int array
     positions (the same order {!of_mapped} uses). Validates that
     [input_probs] covers every referenced PI. *)
 
-val start_build : order:int array -> Dpa_domino.Mapped.t -> partial_build
+val start_build : ?nodes:int -> order:int array -> Dpa_domino.Mapped.t -> partial_build
 (** Fresh manager over [order] (original PI positions) with nothing built.
+    Its tables are sized for a build over [nodes] block nodes (default:
+    the whole block) — pass the node count of the cones it will build.
     Install a budget on {!partial_manager} to bound what follows. *)
 
 val partial_manager : partial_build -> Dpa_bdd.Robdd.manager
@@ -102,17 +104,6 @@ val sift_partial :
     including when the sift itself ends early on
     {!Dpa_util.Dpa_error.Budget_exceeded} or cancellation (the manager is
     consistent at every swap boundary). Parameters as {!Dpa_bdd.Sift.sift}. *)
-
-val bounded_block_size :
-  ?cancel:Dpa_util.Cancel.t ->
-  order:int array ->
-  max_nodes:int ->
-  deadline:float option ->
-  Dpa_domino.Mapped.t ->
-  int option
-(** Total manager nodes of a full block build under [order], or [None] if
-    it would exceed [max_nodes] (or the absolute [deadline]) — the cost
-    oracle for the engine's budgeted reorder rung. *)
 
 (** {2 Incremental estimation}
 

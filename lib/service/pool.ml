@@ -119,12 +119,9 @@ let process_line ?par ?(cancel = Cancel.none) ?stats ?cache line =
     match (request, stats) with
     | Protocol.Stats, Some snapshot -> (Protocol.ok_response ~id ~cmd (snapshot ()), false)
     | _ -> (
-      (* [pooled] is part of the key: bdd_nodes can differ between the
-         pool and no-pool execution paths (see Handler), and a cache
-         entry must only ever answer for byte-identical executions *)
       let ckey =
         match (cache, mode) with
-        | Some c, `Use -> Option.map (fun k -> (c, k)) (Rescache.key ~pooled:(par <> None) request)
+        | Some c, `Use -> Option.map (fun k -> (c, k)) (Rescache.key request)
         | Some _, `Bypass | None, _ -> None
       in
       match Option.bind ckey (fun (c, k) -> Rescache.find c k) with
@@ -296,7 +293,8 @@ let worker t slot ~generation =
   (* the intra-request pool lives and dies with the worker domain: its
      sub-domains are resident across requests (no spawn per request) and
      it has exactly one submitter — this worker — by construction.
-     jobs = 1 runs without a pool: byte-for-byte the pre-pool service.
+     jobs = 1 runs without a pool, which answers byte-for-byte as any
+     pool width does.
      [Par.with_pool] shuts the sub-domains down even when the body
      raises, so a panicking worker leaks nothing. *)
   try

@@ -44,9 +44,11 @@ val map : t -> int -> (int -> 'a) -> 'a array
     and returns [[| f 0; …; f (n-1) |]] — results in index order
     regardless of execution order.
 
-    If one or more tasks raise, remaining tasks are abandoned
-    (best-effort) and the exception of the {e lowest-indexed} failed
-    task is re-raised in the submitting domain with its backtrace.
+    If one or more tasks raise, the exception of the {e lowest-indexed}
+    failing task is re-raised in the submitting domain with its
+    backtrace. Tasks not yet started above the lowest failed index seen
+    so far are skipped; tasks below it still run, so the failure that
+    is re-raised does not depend on the schedule.
 
     Nested use is rejected: calling [map] (on any pool) from inside a
     task raises [Invalid_argument] — tasks must be leaves. One region

@@ -122,6 +122,75 @@ let test_flow_probs_length_mismatch () =
     (Invalid_argument "Flow.compare_ma_mp_probs: input_probs length mismatch") (fun () ->
       ignore (Flow.compare_ma_mp_probs ~input_probs:[| 0.5 |] net))
 
+let check_bits msg a b =
+  if Int64.bits_of_float a <> Int64.bits_of_float b then
+    Alcotest.failf "%s: %h <> %h" msg a b
+
+(* Engine estimates a flow runs (the unbudgeted search prices candidates
+   incrementally, outside the engine). *)
+let estimates_of f =
+  let c = Dpa_obs.Metrics.counter "engine.estimates" in
+  let before = Dpa_obs.Metrics.counter_value c in
+  let r = f () in
+  (r, Dpa_obs.Metrics.counter_value c - before)
+
+let test_zero_flip_reuses_ma () =
+  let zero, n_zero =
+    estimates_of (fun () -> Flow.compare_ma_mp (Dpa_workload.Examples.carry_chain ~width:4))
+  in
+  let flips, n_flips =
+    estimates_of (fun () ->
+        Flow.compare_ma_mp (Dpa_workload.Generator.combinational (small_profile 1)))
+  in
+  let ma = zero.Flow.ma and mp = zero.Flow.mp in
+  Alcotest.(check bool) "the optimizer kept MA's phases" true
+    (Dpa_synth.Phase.equal ma.Flow.assignment mp.Flow.assignment);
+  Alcotest.(check bool) "the other circuit flips" false
+    (Dpa_synth.Phase.equal flips.Flow.ma.Flow.assignment flips.Flow.mp.Flow.assignment);
+  Alcotest.(check int) "one estimate fewer than a flow that flips" (n_flips - 1) n_zero;
+  (* MP keeps its own search record *)
+  Alcotest.(check bool) "mp measured" true (mp.Flow.measurements > 0);
+  Alcotest.(check bool) "mp strategy is the search's" true (mp.Flow.strategy <> ma.Flow.strategy);
+  (* and its price is the one pricing MP's block separately gives *)
+  let net = Dpa_synth.Opt.optimize (Dpa_workload.Examples.carry_chain ~width:4) in
+  let mapped = Dpa_domino.Mapped.map (Dpa_synth.Inverterless.realize net mp.Flow.assignment) in
+  let est =
+    Dpa_power.Engine.estimate ~input_probs:(Array.make (Netlist.num_inputs net) 0.5) mapped
+  in
+  check_bits "mp power" est.Dpa_power.Engine.report.Dpa_power.Estimate.total mp.Flow.power;
+  check_bits "mp delay"
+    (Dpa_timing.Sta.analyze mapped).Dpa_timing.Sta.critical_delay mp.Flow.critical_delay;
+  Alcotest.(check int) "mp size" (Dpa_domino.Mapped.size mapped) mp.Flow.size;
+  Alcotest.(check bool) "mp met" true mp.Flow.met;
+  Alcotest.(check string) "mp degradation"
+    (Dpa_power.Engine.degradation_to_string est.Dpa_power.Engine.degradation)
+    (Dpa_power.Engine.degradation_to_string mp.Flow.degradation)
+
+(* The objective the search minimizes is the one the report prints: under
+   a budget that degrades estimates, the optimizer's MP power and the
+   flow's reported MP power are the same bits, with and without a pool. *)
+let test_budgeted_search_objective_is_reported () =
+  let raw = Dpa_workload.Generator.combinational (small_profile 3) in
+  let net = Dpa_synth.Opt.optimize raw in
+  let input_probs = Array.make (Netlist.num_inputs net) 0.5 in
+  let budget = Some (Dpa_power.Engine.bounded ~max_bdd_nodes:6 ()) in
+  let check par =
+    let r = Flow.compare_ma_mp ~config:{ Flow.default_config with Flow.budget; par } raw in
+    let opt =
+      Dpa_phase.Optimizer.minimize_power
+        { (Dpa_phase.Optimizer.default_config ~input_probs) with
+          Dpa_phase.Optimizer.budget;
+          par }
+        net
+    in
+    Alcotest.(check bool) "the budget degraded the search" true
+      (opt.Dpa_phase.Optimizer.degraded_measurements > 0);
+    check_bits "optimizer MP power = reported MP power" opt.Dpa_phase.Optimizer.power
+      r.Flow.mp.Flow.power
+  in
+  check None;
+  Dpa_util.Par.with_pool ~jobs:2 (fun pool -> check (Some pool))
+
 (* property: the flow is deterministic — same circuit, same result *)
 let prop_flow_deterministic =
   Testkit.qcheck_case ~count:10 ~name:"flow deterministic"
@@ -144,4 +213,7 @@ let suite =
     Alcotest.test_case "sequential flow" `Quick test_seq_flow;
     Alcotest.test_case "report csv" `Quick test_report_csv;
     Alcotest.test_case "probs length mismatch" `Quick test_flow_probs_length_mismatch;
+    Alcotest.test_case "zero-flip flow reuses MA" `Quick test_zero_flip_reuses_ma;
+    Alcotest.test_case "budgeted search objective is reported" `Quick
+      test_budgeted_search_objective_is_reported;
     prop_flow_deterministic ]

@@ -73,16 +73,44 @@ let ladder_on_blif ?(sequential = false) path =
          (Dpa_synth.Phase.all_positive (Netlist.num_outputs net)))
   in
   let exact = Estimate.of_mapped ~input_probs mapped in
+  let n_out = Netlist.num_outputs net in
+  let at cap = Engine.estimate ~budget:(Engine.bounded ~max_bdd_nodes:cap ()) ~input_probs mapped in
   (* a cap well under the exact build forces the ladder *)
   let max_nodes = max 2 (exact.Estimate.bdd_nodes / 4) in
-  let budget = Engine.bounded ~max_bdd_nodes:max_nodes () in
-  let r = Engine.estimate ~budget ~input_probs mapped in
+  let r = at max_nodes in
   let d = r.Engine.degradation in
   Alcotest.(check bool) "some cones degraded" true (not (Engine.all_exact d));
   Alcotest.(check bool) "every cone accounted for" true
-    (Engine.exact_cones d + Engine.reordered_cones d + Engine.simulated_cones d
-    = Netlist.num_outputs net);
-  Alcotest.(check bool) "node budget respected" true (d.Engine.bdd_nodes <= max_nodes);
+    (Engine.exact_cones d + Engine.reordered_cones d + Engine.simulated_cones d = n_out);
+  (* the cap is per-cone headroom: each build attempt of a cone interns
+     at most [cap] new nodes in its shard's manager — one attempt per
+     cone in rung 1, one more per cone rung 1 missed after the sift
+     (a completed sift never grows the store) — on top of the two terminals
+     of each shard manager *)
+  let attempts = n_out + (n_out - Engine.exact_cones d) in
+  Alcotest.(check bool) "node headroom respected" true
+    (d.Engine.bdd_nodes <= (attempts * max_nodes) + (2 * n_out));
+  (* more headroom never pushes a cone down the ladder: a cone that built
+     (exactly or after the sift) under a cap still builds under any
+     larger one *)
+  let runs =
+    List.map
+      (fun div ->
+        let cap = max 2 (exact.Estimate.bdd_nodes / div) in
+        (cap, (at cap).Engine.degradation.Engine.methods))
+      [ 64; 16; 4; 2; 1 ]
+  in
+  let rec monotone = function
+    | (cap, methods) :: ((cap', methods') :: _ as rest) ->
+      Array.iteri
+        (fun k m ->
+          if m <> Engine.Simulated && methods'.(k) = Engine.Simulated then
+            Alcotest.failf "cone %d built under cap %d but simulated under cap %d" k cap cap')
+        methods;
+      monotone rest
+    | _ -> ()
+  in
+  monotone runs;
   (* simulated probabilities carry ±ci_halfwidth each; the total is a sum
      over the block's cells, so bound the error additively *)
   let tolerance =

@@ -292,7 +292,7 @@ let test_budgeted_estimate_tags_ladder_method () =
   List.iter
     (fun (e : Trace.event) ->
       match List.assoc_opt "rung" e.Trace.args with
-      | Some (Trace.Str ("exact" | "reorder" | "sift")) -> ()
+      | Some (Trace.Str ("exact" | "sift" | "sim")) -> ()
       | Some _ -> Alcotest.failf "engine.cone has non-string rung arg"
       | None -> Alcotest.failf "engine.cone span missing rung arg")
     cones;

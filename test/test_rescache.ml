@@ -68,7 +68,7 @@ let optimize ?(seed = 1) text =
       budget = None;
     }
 
-let key r = Rescache.key ~pooled:false r
+let key r = Rescache.key r
 
 let check_some_eq msg a b =
   match (a, b) with
@@ -103,10 +103,7 @@ let test_key_composition () =
               fallback = Dpa_power.Engine.Simulate;
               sim_backend = Dpa_sim.Backend.default;
             }
-          dln_base));
-  check_some_neq "pool width is in the key"
-    (Rescache.key ~pooled:false (estimate dln_base))
-    (Rescache.key ~pooled:true (estimate dln_base))
+          dln_base))
 
 let test_key_refusals () =
   let uncacheable msg r = Alcotest.(check bool) msg true (key r = None) in
@@ -130,7 +127,7 @@ let test_key_refusals () =
 
 let test_compare_key_includes_name () =
   let cmp text =
-    Rescache.key ~pooled:false
+    Rescache.key
       (Protocol.Compare
          {
            source = Protocol.Inline { text; format = `Dln };
@@ -365,6 +362,70 @@ let byte_identity_at ~jobs () =
 let test_server_byte_identity_seq () = byte_identity_at ~jobs:1 ()
 let test_server_byte_identity_par () = byte_identity_at ~jobs:4 ()
 
+(* The pool width is not in the key because it cannot change an answer:
+   under budgets that force the sift and simulation rungs, cold estimates
+   and a cold compare are the same bytes from a server without pools
+   (jobs 1), from one with 4-wide pools, and from an in-process
+   execution with a pool, as the one-shot CLI commands run it. *)
+let test_server_width_invariant_budgeted () =
+  let budget cap =
+    Some
+      {
+        Protocol.max_bdd_nodes = Some cap;
+        deadline_s = None;
+        fallback = Dpa_power.Engine.Simulate;
+        sim_backend = Dpa_sim.Backend.default;
+      }
+  in
+  let apex7 = Protocol.File "../data/apex7_synthetic.blif" and frg1 = Protocol.File frg1 in
+  let requests =
+    [
+      ( "estimate apex7",
+        Protocol.Estimate
+          { source = apex7; input_prob = 0.5; phases = None; budget = budget 200 } );
+      ( "estimate frg1",
+        Protocol.Estimate
+          { source = frg1; input_prob = 0.5; phases = Some "+-+"; budget = budget 8 } );
+      ( "compare frg1",
+        Protocol.Compare { source = frg1; input_prob = 0.5; seed = 1; budget = budget 8 } );
+    ]
+  in
+  let cold_at ~jobs =
+    Client.with_self_hosted ~workers:1 ~jobs (fun ~socket ->
+        let c = Client.connect socket in
+        Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+        List.map
+          (fun (_, request) ->
+            Client.request c
+              (Protocol.request_line { Protocol.id = 3; request; cache = `Bypass }))
+          requests)
+  in
+  let seq = cold_at ~jobs:1 and par = cold_at ~jobs:4 in
+  let in_process =
+    Dpa_util.Par.with_pool ~jobs:2 @@ fun par ->
+    List.map
+      (fun (name, request) ->
+        Protocol.ok_response_text ~id:3
+          ~cmd:(List.hd (String.split_on_char ' ' name))
+          (Jsonlite.encode (Handler.execute ~par request)))
+      requests
+  in
+  List.iteri
+    (fun i (name, _) ->
+      let a = List.nth seq i in
+      let result = parse_ok a in
+      let degraded =
+        match (Jsonlite.member_opt "exact" result, Jsonlite.member_opt "mp" result) with
+        | Some (Jsonlite.Bool exact), _ -> not exact
+        | None, Some mp -> Jsonlite.member_opt "degradation" mp <> Some (Jsonlite.Str "exact")
+        | _ -> false
+      in
+      Alcotest.(check bool) (name ^ ": the budget degraded the answer") true degraded;
+      Alcotest.(check string) (name ^ ": jobs 1 == jobs 4 bytes") a (List.nth par i);
+      Alcotest.(check string) (name ^ ": service == in-process bytes") a
+        (List.nth in_process i))
+    requests
+
 let test_server_bypass_stays_cold () =
   Client.with_self_hosted ~workers:1 (fun ~socket ->
       let c = Client.connect socket in
@@ -435,6 +496,8 @@ let suite =
       test_server_byte_identity_seq;
     Alcotest.test_case "server: hit == cold bytes (jobs 4)" `Quick
       test_server_byte_identity_par;
+    Alcotest.test_case "server: budgeted answers width-invariant" `Quick
+      test_server_width_invariant_budgeted;
     Alcotest.test_case "server: bypass stays cold" `Quick test_server_bypass_stays_cold;
     Alcotest.test_case "server: warm restart from snapshot" `Quick
       test_server_warm_restart;
